@@ -1,23 +1,26 @@
 // Life-cycle benchmark of a circuit transient on the public Basker API.
 //
-// Per matrix of a workload: symbolic(), numeric(), then a fixed-pattern
-// sequence of steps, each a values-only refactor() of the input with its
-// values drifted by gen::revalue, followed by solve() of fresh right-hand
-// sides. Rounds of that life cycle repeat until --seconds have passed, and
-// every time metric is the minimum over the run's samples (README.md,
-// "Timing"). Every solve is checked with the independent checks of
-// checks.hpp.
+// Per matrix of a workload, one round is: symbolic(), a few numeric()
+// calls, then a fixed-pattern sequence of steps, each a values-only
+// refactor() of the input with its values drifted by gen::revalue, followed
+// by solve() of fresh right-hand sides. Rounds repeat until --seconds have
+// passed, and every time metric is the minimum over the run's samples
+// (README.md, "Timing"). Every solve is checked with the independent checks
+// of checks.hpp.
 //
 //   lifecycle --workload NAME --seed N --seconds S --trace 0|1
 //             --fingerprints FILE [--rhs-seed N] [--out DIR]
 //   lifecycle --print-fingerprints     # pinned-input table, all workloads
 //   lifecycle --klu --workload NAME    # KLU reference figures (README)
+//   lifecycle --reference --workload NAME --seed N --rhs-seed N
+//                                      # one-thread solutions, binary, to stdout
 //
 // The last line of standard output is one JSON object: correct, attempted,
 // failed and metrics (the end-to-end metrics with --trace 0, the per-layer
 // metrics with --trace 1).
 #include <sched.h>
 #include <sys/resource.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -31,6 +34,8 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "basker/core/basker.hpp"
@@ -73,13 +78,17 @@ double seconds_between(Clock::time_point t0, Clock::time_point t1) {
 struct MatrixSpec {
   const char* name;
   double scale;         ///< gen::make_by_name scale
-  int analyze_batch;    ///< symbolic() calls per timed sample
+  int analyze_batch;    ///< symbolic() calls per timed sample (one sample per round)
+  int factors;          ///< timed numeric() samples per round
   int factor_batch;     ///< numeric() calls per timed sample
-  int steps;            ///< refactor() + solve() steps per round
-  int refactor_batch;   ///< consecutive steps whose refactor() times form one sample
+  int steps;            ///< refactor() + solve() steps per round; each refactor() is a sample
   int rhs;              ///< right-hand sides solved per step
   int solve_batch;      ///< of those, solved back to back per timed sample
   int layer_batch;      ///< graph-layer calls per timed sample (--trace 1)
+  /// Nonzero for an input kept for a known fault of the program: its drift
+  /// and right-hand sides come from this seed instead of --seed, so the
+  /// solves that fail are the same ones in every run (README.md, "hvdc2").
+  std::uint64_t fixed_seed = 0;
 };
 
 struct WorkloadSpec {
@@ -91,17 +100,16 @@ struct WorkloadSpec {
 
 const std::vector<WorkloadSpec>& workloads() {
   static const std::vector<WorkloadSpec> w = {
-      {"transient_static", SyncMode::kPointToPoint, true,
-       {{"Xyce3", 1.0, 1, 1, 3, 1, 4, 1, 1}}},
       {"transient_taskdag", SyncMode::kTaskDag, true,
-       {{"Xyce3", 1.0, 1, 1, 2, 1, 4, 1, 1}}},
+       {{"Xyce3", 1.0, 1, 3, 1, 3, 4, 1, 1}}},
       {"mesh_taskdag", SyncMode::kTaskDag, true,
-       {{"G2_Circuit", 3.0, 1, 1, 4, 1, 4, 1, 1}}},
+       {{"G2_Circuit", 3.0, 1, 4, 1, 6, 4, 1, 1}}},
       {"lowfill_serial", SyncMode::kPointToPoint, false,
-       {{"Power0", 1.0, 4, 16, 16, 16, 64, 64, 8},
-        {"rajat21", 1.0, 1, 4, 16, 4, 16, 16, 4},
-        {"asic_680ks", 1.0, 1, 4, 16, 4, 8, 8, 2},
-        {"Freescale1", 1.0, 1, 1, 8, 1, 8, 4, 1}}},
+       {{"Power0", 1.0, 4, 2, 16, 16, 64, 64, 8},
+        {"rajat21", 1.0, 1, 2, 4, 16, 16, 16, 4},
+        {"asic_680ks", 1.0, 1, 2, 4, 16, 8, 8, 2},
+        {"hvdc2", 1.0, 1, 2, 4, 8, 4, 4, 4, 205},
+        {"Freescale1", 1.0, 1, 2, 1, 8, 8, 4, 1}}},
   };
   return w;
 }
@@ -192,19 +200,22 @@ struct MinOf {
   }
 };
 
-/// Operations attempted and failed. A failed check also clears `correct`;
-/// a status that is not kOk only counts the operation as failed.
+/// Operations attempted and failed. A failed check also clears `correct`,
+/// except on an operation of a known fault (MatrixSpec::fixed_seed), which
+/// is only counted as failed; a status that is not kOk only counts the
+/// operation as failed.
 struct Tally {
   long long attempted = 0;
   long long failed = 0;
   bool correct = true;
   int reported = 0;
 
-  void op(bool status_ok, bool checks_ok, const char* what, const char* matrix = "") {
+  void op(bool status_ok, bool checks_ok, const char* what, const char* matrix = "",
+          bool known_fault = false) {
     ++attempted;
     if (status_ok && checks_ok) return;
     ++failed;
-    if (!checks_ok) correct = false;
+    if (!checks_ok && !known_fault) correct = false;
     if (reported++ < 10) {
       std::fprintf(stderr, "perfbench: %s %s %s\n", what, matrix,
                    status_ok ? "failed its check" : "returned an error status");
@@ -238,14 +249,15 @@ struct Case {
   const MatrixSpec* spec = nullptr;
   Csc a0;  ///< pinned input
   Csc a;   ///< the current step's matrix: a0's pattern, drifted values
-  std::unique_ptr<Solver> solver;     ///< the measured instance
-  std::unique_ptr<Solver> reference;  ///< one-thread instance (kTaskDag only)
-  std::unique_ptr<Solver> traced;     ///< options().trace on (--trace 1 only)
+  std::unique_ptr<Solver> solver;  ///< the measured instance
+  std::unique_ptr<Solver> traced;  ///< options().trace on (--trace 1 only)
   std::uint64_t drift_seed = 0;  ///< every round replays the same drift ...
   std::uint64_t rhs_seed = 0;    ///< ... and the same right-hand sides
-  /// The one-thread instance's lu_nnz and solutions (step-major, then
-  /// right-hand side), computed in the first round: the team's must equal
-  /// them bit for bit in every round.
+  /// kTaskDag only: a one-thread instance's lu_nnz and solutions
+  /// (step-major, then right-hand side), computed in a child process
+  /// (Bench::load_reference): the team's must equal them bit for bit in
+  /// every round.
+  bool has_reference = false;
   long long reference_nnz = -1;
   std::vector<std::vector<double>> reference_x;
   MinOf analyze, factor, refactor, solve;
@@ -266,7 +278,53 @@ struct Args {
   std::string out_dir = ".bench_out";
   bool print_fingerprints = false;
   bool klu = false;
+  bool reference = false;
 };
+
+/// Drift and right-hand-side seeds of the index-th matrix of a workload.
+std::pair<std::uint64_t, std::uint64_t> case_seeds(const Args& args, const MatrixSpec& m,
+                                                   size_t index) {
+  if (m.fixed_seed != 0) return {m.fixed_seed, m.fixed_seed};
+  return {args.seed * 0x9E3779B97F4A7C15ULL + index,
+          args.rhs_seed * 0xD1B54A32D192ED03ULL + index};
+}
+
+/// --reference: a one-thread instance of the workload's schedule runs one
+/// round's symbolic(), numeric() and steps on every matrix, and writes to
+/// standard output, per matrix, lu_nnz (int64; -1 when the factorization
+/// failed) and then each solution (n doubles; NaN when its refactor() or
+/// solve() failed), in the order Bench::lifecycle_round solves them.
+int write_reference(const WorkloadSpec& w, const Args& args) {
+  for (size_t index = 0; index < w.matrices.size(); ++index) {
+    const MatrixSpec& m = w.matrices[index];
+    const Csc a0 = basker::gen::make_by_name(m.name, m.scale);
+    Csc a = a0;
+    BaskerOptions one;
+    one.nthreads = 1;
+    one.sync_mode = w.sync;
+    Solver ref(one);
+    const bool factored = ref.symbolic(a0) == Status::kOk && ref.numeric(a0) == Status::kOk;
+    const std::int64_t nnz = factored ? ref.stats().nnz_lu : -1;
+    std::fwrite(&nnz, sizeof(nnz), 1, stdout);
+    const auto [drift_seed, rhs_seed] = case_seeds(args, m, index);
+    Prng drift(drift_seed);
+    Prng rhs(rhs_seed);
+    for (int k = 0; k < m.steps; ++k) {
+      std::copy(a0.values.begin(), a0.values.end(), a.values.begin());
+      basker::gen::revalue(a, drift);
+      Status st = factored ? ref.refactor(a) : Status::kInvalidInput;
+      if (st == Status::kPivotGrowth) st = Status::kOk;
+      for (int i = 0; i < m.rhs; ++i) {
+        std::vector<double> x = basker::gen::random_rhs(a.ncols, rhs.next_u64());
+        if (st != Status::kOk || ref.solve(x) != Status::kOk) {
+          std::fill(x.begin(), x.end(), std::numeric_limits<double>::quiet_NaN());
+        }
+        std::fwrite(x.data(), sizeof(double), x.size(), stdout);
+      }
+    }
+  }
+  return std::fflush(stdout) == 0 ? 0 : 1;
+}
 
 class Bench {
  public:
@@ -294,17 +352,12 @@ class Bench {
         }
       }
       c->a = c->a0;
-      c->drift_seed = args_.seed * 0x9E3779B97F4A7C15ULL + cases_.size();
-      c->rhs_seed = args_.rhs_seed * 0xD1B54A32D192ED03ULL + cases_.size();
+      std::tie(c->drift_seed, c->rhs_seed) = case_seeds(args_, m, cases_.size());
       BaskerOptions opt;
       opt.nthreads = p;
       opt.sync_mode = w_.sync;
       c->solver = std::make_unique<Solver>(opt);
-      if (w_.sync == SyncMode::kTaskDag) {
-        BaskerOptions one = opt;
-        one.nthreads = 1;
-        c->reference = std::make_unique<Solver>(one);
-      }
+      c->has_reference = w_.sync == SyncMode::kTaskDag;
       if (args_.trace) {
         BaskerOptions traced = opt;
         traced.trace = true;
@@ -315,6 +368,63 @@ class Bench {
     threads_ = cases_.front()->solver->nthreads();
     setup_s_ = seconds_between(g_process_start, Clock::now());
     return true;
+  }
+
+  /// Runs this program again with --reference and reads the one-thread
+  /// instance's results from its standard output, so that its
+  /// factorization stays out of the measured process (peak_rss_mb). Called
+  /// after set-up and before the timed rounds; returns false when the child
+  /// fails or its output is short.
+  bool load_reference() {
+    if (!cases_.front()->has_reference) return true;
+    const Clock::time_point t0 = Clock::now();
+    const std::string self = "/proc/self/exe";
+    std::vector<std::string> words = {self,        "--reference",
+                                      "--workload", w_.name,
+                                      "--seed",     std::to_string(args_.seed),
+                                      "--rhs-seed", std::to_string(args_.rhs_seed)};
+    std::vector<char*> argv;
+    for (std::string& s : words) argv.push_back(s.data());
+    argv.push_back(nullptr);
+    int fd[2];
+    if (pipe(fd) != 0) return false;
+    std::fflush(nullptr);
+    const pid_t pid = fork();
+    if (pid < 0) {
+      close(fd[0]);
+      close(fd[1]);
+      return false;
+    }
+    if (pid == 0) {
+      dup2(fd[1], STDOUT_FILENO);
+      close(fd[0]);
+      close(fd[1]);
+      execv(self.c_str(), argv.data());
+      _exit(127);
+    }
+    close(fd[1]);
+    std::FILE* in = fdopen(fd[0], "rb");
+    bool ok = in != nullptr;
+    for (auto& cp : cases_) {
+      Case& c = *cp;
+      std::int64_t nnz = -1;
+      ok = ok && std::fread(&nnz, sizeof(nnz), 1, in) == 1;
+      c.reference_nnz = nnz;
+      c.reference_x.assign(static_cast<size_t>(c.spec->steps) * c.spec->rhs,
+                           std::vector<double>(static_cast<size_t>(c.a0.ncols)));
+      for (auto& x : c.reference_x) {
+        ok = ok && std::fread(x.data(), sizeof(double), x.size(), in) == x.size();
+      }
+    }
+    if (in != nullptr) {
+      std::fclose(in);
+    } else {
+      close(fd[0]);
+    }
+    int status = 0;
+    ok = waitpid(pid, &status, 0) == pid && ok && WIFEXITED(status) && WEXITSTATUS(status) == 0;
+    spans_.add("reference (child process)", -1, t0, Clock::now());
+    return ok;
   }
 
   void run() {
@@ -415,8 +525,9 @@ class Bench {
                   c->factor.samples, c->refactor.samples, c->solve.samples, c->analyze.best,
                   c->factor.best, c->refactor.best, c->solve.best, c->lu_nnz, c->fallbacks);
     }
-    std::printf("# max backward error %.3e (bound %.0e); host steal during the run %.2f cpu-s\n",
-                max_backward_error_, kMaxBackwardError, steal_s_);
+    std::printf("# max backward error %.3e (bound %.0e), %.3e on known-fault inputs; "
+                "host steal during the run %.2f cpu-s\n",
+                max_backward_error_, kMaxBackwardError, max_backward_error_known_, steal_s_);
 
     std::string json = "{\"correct\": ";
     json += tally_.correct ? "true" : "false";
@@ -473,10 +584,12 @@ class Bench {
       tally_.op(st == Status::kOk, true, "symbolic", c.spec->name);
     }));
 
-    c.factor.add(timed(label(c, "core.numeric"), round, m.factor_batch, [&] {
-      const Status st = s.numeric(c.a0);
-      tally_.op(st == Status::kOk, true, "numeric", c.spec->name);
-    }));
+    for (int f = 0; f < m.factors; ++f) {
+      c.factor.add(timed(label(c, "core.numeric"), round, m.factor_batch, [&] {
+        const Status st = s.numeric(c.a0);
+        tally_.op(st == Status::kOk, true, "numeric", c.spec->name);
+      }));
+    }
     c.lu_nnz = s.stats().nnz_lu;
     if (args_.trace) {
       const basker::BaskerStats& st = s.stats();
@@ -492,22 +605,15 @@ class Bench {
       l.critical_cols = st.dag_critical_cols;
       l.total_cols = st.dag_total_cols;
     }
-    const bool make_reference = c.reference && c.reference_nnz < 0;
-    if (make_reference) {
-      Solver& ref = *c.reference;
-      tally_.op(ref.symbolic(c.a0) == Status::kOk, true, "reference symbolic", c.spec->name);
-      tally_.op(ref.numeric(c.a0) == Status::kOk, true, "reference numeric", c.spec->name);
-      c.reference_nnz = ref.stats().nnz_lu;
-    }
-    if (c.reference) {
+    if (c.has_reference) {
       // Checks the numeric() calls above: equal |L+U| to the one-thread
       // instance (their solutions are compared after every refactor).
       tally_.op(true, c.lu_nnz == c.reference_nnz, "lu_nnz vs one thread", c.spec->name);
     }
 
+    const bool known_fault = m.fixed_seed != 0;
     Prng drift(c.drift_seed);
     Prng rhs(c.rhs_seed);
-    double refactor_acc = 0.0;
     std::vector<std::vector<double>> b(static_cast<size_t>(m.rhs));
     std::vector<std::vector<double>> x(b.size());
     std::vector<Status> solve_status(b.size());
@@ -518,28 +624,14 @@ class Bench {
       basker::gen::revalue(c.a, drift);
       const double a_norm = norm_inf(c.a);
 
-      refactor_acc += timed(label(c, "core.refactor"), round, 1, [&] {
+      c.refactor.add(timed(label(c, "core.refactor"), round, 1, [&] {
         const Status st = s.refactor(c.a);
         if (st == Status::kPivotGrowth) ++c.fallbacks;
         tally_.op(st == Status::kOk || st == Status::kPivotGrowth, true, "refactor", c.spec->name);
-      });
-      if ((k + 1) % m.refactor_batch == 0) {
-        c.refactor.add(refactor_acc / m.refactor_batch);
-        refactor_acc = 0.0;
-      }
+      }));
       for (size_t i = 0; i < b.size(); ++i) {
         b[i] = basker::gen::random_rhs(c.a.ncols, rhs.next_u64());
         x[i] = b[i];
-      }
-      if (make_reference) {
-        const Status st = c.reference->refactor(c.a);
-        tally_.op(st == Status::kOk || st == Status::kPivotGrowth, true,
-                  "reference refactor", c.spec->name);
-        for (const auto& bi : b) {
-          c.reference_x.push_back(bi);
-          tally_.op(c.reference->solve(c.reference_x.back()) == Status::kOk, true,
-                    "reference solve", c.spec->name);
-        }
       }
       for (size_t next = 0; next < b.size();) {
         c.solve.add(timed(label(c, "core.solve"), round, m.solve_batch, [&] {
@@ -551,13 +643,14 @@ class Bench {
         bool ok = false;
         if (solve_status[i] == Status::kOk) {
           const double be = backward_error(c.a, a_norm, x[i], b[i]);
-          max_backward_error_ = std::max(max_backward_error_, be);
+          double& worst = known_fault ? max_backward_error_known_ : max_backward_error_;
+          worst = std::max(worst, be);
           ok = be <= kMaxBackwardError;
-          if (ok && c.reference) {
+          if (ok && c.has_reference) {
             ok = bit_equal(c.reference_x[static_cast<size_t>(k) * b.size() + i], x[i]);
           }
         }
-        tally_.op(solve_status[i] == Status::kOk, ok, "solve", c.spec->name);
+        tally_.op(solve_status[i] == Status::kOk, ok, "solve", c.spec->name, known_fault);
       }
     }
   }
@@ -597,16 +690,19 @@ class Bench {
     // count are two independent routes to |L| - n.
     tally_.op(true, below_diag == l.amd_fill, "chol_col_counts (vs fill count)", c.spec->name);
 
-    // Like the untraced instance, numeric() follows a fresh symbolic(), so
-    // both timings include the first touch of new factor storage.
+    // Timed exactly as the untraced instance: after one symbolic(), the
+    // same number of samples of the same batch of numeric() calls.
+    const MatrixSpec& m = *c.spec;
     Solver& t = *c.traced;
     tally_.op(t.symbolic(c.a0) == Status::kOk, true, "traced symbolic", c.spec->name);
-    Status st = Status::kOk;
-    const double secs = timed(label(c, "core.numeric traced"), round, 1,
-                              [&] { st = t.numeric(c.a0); });
-    tally_.op(st == Status::kOk, t.stats().nnz_lu == c.lu_nnz, "traced numeric", c.spec->name);
-    if (secs < l.traced_factor.best) l.trace = t.stats().trace;
-    l.traced_factor.add(secs);
+    for (int f = 0; f < m.factors; ++f) {
+      const double secs = timed(label(c, "core.numeric traced"), round, m.factor_batch, [&] {
+        const Status st = t.numeric(c.a0);
+        tally_.op(st == Status::kOk, t.stats().nnz_lu == c.lu_nnz, "traced numeric", c.spec->name);
+      });
+      if (secs < l.traced_factor.best) l.trace = t.stats().trace;
+      l.traced_factor.add(secs);
+    }
   }
 
   void prepare_graph(Case& c, const basker::Matching& match) {
@@ -680,6 +776,7 @@ class Bench {
   double steal_s_ = 0.0;
   Tally tally_;
   double max_backward_error_ = 0.0;
+  double max_backward_error_known_ = 0.0;  ///< on inputs of a known fault
   std::vector<double> panel_, square_;
   MinOf gemm_, getrf_;
   double gemm_flops_ = 0.0, getrf_flops_ = 0.0;
@@ -728,7 +825,8 @@ int usage() {
                "usage: lifecycle --workload NAME --seed N --seconds S --trace 0|1 "
                "--fingerprints FILE [--rhs-seed N] [--out DIR]\n"
                "       lifecycle --print-fingerprints\n"
-               "       lifecycle --klu --workload NAME [--seed N]\n");
+               "       lifecycle --klu --workload NAME [--seed N]\n"
+               "       lifecycle --reference --workload NAME --seed N --rhs-seed N\n");
   return 2;
 }
 
@@ -746,6 +844,8 @@ int main(int argc, char** argv) {
       args.print_fingerprints = true;
     } else if (a == "--klu") {
       args.klu = true;
+    } else if (a == "--reference") {
+      args.reference = true;
     } else if ((v = value()) == nullptr) {
       return usage();
     } else if (a == "--workload") {
@@ -790,11 +890,16 @@ int main(int argc, char** argv) {
       return usage();
     }
     if (args.klu) return run_klu(*w, args.seed);
+    if (args.reference) return write_reference(*w, args);
     if (args.fingerprints.empty() || args.seconds <= 0.0 || (args.trace != 0 && args.trace != 1)) {
       return usage();
     }
     Bench bench(args, *w);
     if (!bench.setup()) return 3;
+    if (!bench.load_reference()) {
+      std::fprintf(stderr, "perfbench: the one-thread reference run failed\n");
+      return 4;
+    }
     bench.run();
     bench.write_traces();
     bench.report();
